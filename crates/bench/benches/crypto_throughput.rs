@@ -1,5 +1,5 @@
 //! Raw sector-cipher throughput: real MB/s of the T-table AES core through
-//! the CBC-ESSIV and XTS sector modes, single-sector and batched-parallel
+//! the CBC-ESSIV and XTS sector modes, single-sector and as a 1 MiB batch
 //! through `DmCrypt`, plus the byte-wise reference core for the speedup
 //! ratio. These are *wall-clock* numbers (like `micro`'s `crypto` group);
 //! simulated timing in the experiments is charged by `CpuCostModel` and
@@ -17,7 +17,7 @@ use mobiceal_sim::SimClock;
 use std::sync::Arc;
 
 const SECTOR: usize = 4096;
-const BATCH: usize = 64;
+const BATCH: usize = 256;
 
 /// Single 4 KiB sector encrypt/decrypt, in place, per mode — and the
 /// byte-wise reference core on the same workload for the speedup ratio.
@@ -73,45 +73,26 @@ fn bench_lane_widths(c: &mut Criterion) {
     group.finish();
 }
 
-/// A 64×4 KiB batch through `DmCrypt` over a MemDisk: the batched-parallel
-/// crypto path vs. the same batch pinned to one thread.
-fn bench_batched_parallel(c: &mut Criterion) {
-    fn crypt(parallel: bool) -> (Arc<MemDisk>, DmCrypt) {
-        let clock = SimClock::new();
-        let disk = Arc::new(MemDisk::new(2 * BATCH as u64, SECTOR, clock));
-        let dm = DmCrypt::new_essiv(disk.clone(), &[9u8; 32]);
-        let dm = if parallel { dm } else { dm.sequential() };
-        (disk, dm)
-    }
-
-    let mut group = c.benchmark_group("crypto_batch_64x4k");
+/// A 256×4 KiB (1 MiB) batch through a CBC-ESSIV `DmCrypt` over a MemDisk:
+/// the chunk a `dd` write sends. The write row is where the encrypt split
+/// across threads shows; the read row stays on the calling thread.
+fn bench_batch(c: &mut Criterion) {
+    let mut group = c.benchmark_group("crypto_batch_256x4k");
     group.throughput(Throughput::Bytes((BATCH * SECTOR) as u64));
+    let disk = Arc::new(MemDisk::new(BATCH as u64, SECTOR, SimClock::new()));
+    let dm = DmCrypt::new_essiv(disk, &[9u8; 32]);
     let data = vec![0x5Au8; SECTOR];
+    let writes: Vec<(u64, &[u8])> = (0..BATCH as u64).map(|i| (i, data.as_slice())).collect();
+    let indices: Vec<u64> = (0..BATCH as u64).collect();
 
-    for (label, parallel) in [("write_parallel", true), ("write_sequential", false)] {
-        group.bench_function(label, |b| {
-            let (_disk, dm) = crypt(parallel);
-            let writes: Vec<(u64, &[u8])> =
-                (0..BATCH as u64).map(|i| (i, data.as_slice())).collect();
-            b.iter(|| dm.write_blocks(&writes).expect("write batch"))
-        });
-    }
-    for (label, parallel) in [("read_parallel", true), ("read_sequential", false)] {
-        group.bench_function(label, |b| {
-            let (_disk, dm) = crypt(parallel);
-            let writes: Vec<(u64, &[u8])> =
-                (0..BATCH as u64).map(|i| (i, data.as_slice())).collect();
-            dm.write_blocks(&writes).expect("prefill");
-            let indices: Vec<u64> = (0..BATCH as u64).collect();
-            b.iter(|| dm.read_blocks(&indices).expect("read batch"))
-        });
-    }
+    group.bench_function("write", |b| b.iter(|| dm.write_blocks(&writes).expect("write batch")));
+    group.bench_function("read", |b| b.iter(|| dm.read_blocks(&indices).expect("read batch")));
     group.finish();
 }
 
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_sector_modes, bench_lane_widths, bench_batched_parallel
+    targets = bench_sector_modes, bench_lane_widths, bench_batch
 }
 criterion_main!(benches);

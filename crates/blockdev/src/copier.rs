@@ -10,16 +10,9 @@
 //! inline at submit, reassembling today's foreground behavior
 //! bit-for-bit).
 //!
-//! Two drain modes:
-//!
-//! * **Deterministic stepping** ([`Copier::step`] / [`Copier::drain`]):
-//!   the caller decides when background work runs, which keeps the
-//!   simulated clock charges reproducible. This is the mode the workloads
-//!   and benches use.
-//! * **Worker thread** ([`Copier::spawn_worker`]): a real thread parks on a
-//!   condvar and services jobs as they arrive, for callers that want the
-//!   daemon shape end-to-end. Determinism of *contents* is unaffected
-//!   (jobs are executed in submission order either way).
+//! Background work runs by deterministic stepping ([`Copier::step`] /
+//! [`Copier::drain`]): the caller decides when it runs, which keeps the
+//! simulated clock charges reproducible.
 //!
 //! Job failures are recorded, surfaced by [`Copier::take_error`], and
 //! fail-fast on [`Copier::drain`].
@@ -27,8 +20,7 @@
 use crate::device::{BlockDevice, BlockDeviceError, BlockIndex, SharedDevice};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::{Mutex, PoisonError};
 
 /// A unit of background work. Returns the number of blocks it moved (or
 /// otherwise processed), purely for accounting.
@@ -54,14 +46,12 @@ struct State {
     queue: VecDeque<CopierJob>,
     /// First unconsumed job error, fail-fast like a vectored write prefix.
     error: Option<BlockDeviceError>,
-    shutdown: bool,
 }
 
 /// A bounded background job queue for GC/relocation/cleaning work.
 pub struct Copier {
     depth: usize,
     state: Mutex<State>,
-    work_ready: Condvar,
     submitted: AtomicU64,
     completed: AtomicU64,
     failed: AtomicU64,
@@ -81,7 +71,6 @@ impl Copier {
         Copier {
             depth,
             state: Mutex::new(State::default()),
-            work_ready: Condvar::new(),
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             failed: AtomicU64::new(0),
@@ -147,7 +136,6 @@ impl Copier {
             if state.queue.len() > self.depth - 1 {
                 state.queue.pop_front()
             } else {
-                self.work_ready.notify_one();
                 None
             }
         };
@@ -182,32 +170,6 @@ impl Copier {
             None => Ok(()),
         }
     }
-
-    /// Spawns a worker thread that services jobs as they arrive until
-    /// [`CopierWorker::shutdown`] (which drains the queue first). The
-    /// copier must be shared (`Arc`) with submitters.
-    pub fn spawn_worker(self: &Arc<Self>) -> CopierWorker {
-        let copier = Arc::clone(self);
-        let handle = std::thread::spawn(move || loop {
-            let job = {
-                let mut state = copier.state.lock().unwrap_or_else(PoisonError::into_inner);
-                loop {
-                    if let Some(job) = state.queue.pop_front() {
-                        break Some(job);
-                    }
-                    if state.shutdown {
-                        break None;
-                    }
-                    state = copier.work_ready.wait(state).unwrap_or_else(PoisonError::into_inner);
-                }
-            };
-            match job {
-                Some(job) => copier.run_job(job),
-                None => return,
-            }
-        });
-        CopierWorker { copier: Arc::clone(self), handle: Some(handle) }
-    }
 }
 
 impl std::fmt::Debug for Copier {
@@ -216,37 +178,6 @@ impl std::fmt::Debug for Copier {
             .field("depth", &self.depth)
             .field("pending", &self.pending())
             .finish_non_exhaustive()
-    }
-}
-
-/// Handle to a running copier worker thread; joining drains the queue.
-pub struct CopierWorker {
-    copier: Arc<Copier>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl CopierWorker {
-    /// Signals shutdown and joins the worker after it drains the queue.
-    pub fn shutdown(mut self) {
-        self.finish();
-    }
-
-    fn finish(&mut self) {
-        if let Some(handle) = self.handle.take() {
-            {
-                let mut state = self.copier.state.lock().unwrap_or_else(PoisonError::into_inner);
-                state.shutdown = true;
-                self.copier.work_ready.notify_one();
-            }
-            let _ = handle.join();
-            self.copier.state.lock().unwrap_or_else(PoisonError::into_inner).shutdown = false;
-        }
-    }
-}
-
-impl Drop for CopierWorker {
-    fn drop(&mut self) {
-        self.finish();
     }
 }
 
@@ -272,6 +203,7 @@ mod tests {
     use super::*;
     use crate::memdisk::MemDisk;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::Arc;
 
     #[test]
     fn depth_one_runs_inline() {
@@ -349,23 +281,5 @@ mod tests {
         assert_eq!(disk.read_block(10).unwrap(), vec![0xAB; 512]);
         assert_eq!(disk.read_block(11).unwrap(), vec![0xCD; 512]);
         assert_eq!(copier.stats().blocks_moved, 2);
-    }
-
-    #[test]
-    fn worker_thread_services_jobs() {
-        let copier = Arc::new(Copier::new(16));
-        let worker = copier.spawn_worker();
-        let ran = Arc::new(AtomicUsize::new(0));
-        for _ in 0..5 {
-            let r = Arc::clone(&ran);
-            copier.submit(Box::new(move || {
-                r.fetch_add(1, Ordering::SeqCst);
-                Ok(1)
-            }));
-        }
-        worker.shutdown();
-        assert_eq!(ran.load(Ordering::SeqCst), 5);
-        assert_eq!(copier.stats().blocks_moved, 5);
-        assert_eq!(copier.pending(), 0);
     }
 }

@@ -44,7 +44,7 @@ mod snapshot;
 mod stats;
 
 pub use cache::{CacheConfig, CacheStats, WriteBackCache};
-pub use copier::{copy_job, Copier, CopierJob, CopierStats, CopierWorker};
+pub use copier::{copy_job, Copier, CopierJob, CopierStats};
 pub use crash::CrashDisk;
 pub use device::{
     read_blocks_remapped, write_blocks_remapped, BlockDevice, BlockDeviceError, BlockIndex,

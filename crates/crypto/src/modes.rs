@@ -11,10 +11,9 @@
 //! stack so the per-sector paths stay allocation-free:
 //!
 //! * **XTS** is independent per block in both directions once the tweak
-//!   sequence is known, so each chunk's tweaks are precomputed (a PCLMULQDQ
-//!   carry-less ladder on hosts that report it, the serial shift/xor double
-//!   otherwise — see [`Xts::fill_tweaks`]), XORed in, run through the wide
-//!   lanes, and XORed out.
+//!   sequence is known, so each chunk's tweaks are precomputed (the serial
+//!   shift/xor double, see [`Xts::fill_tweaks`]), XORed in, run through the
+//!   wide lanes, and XORed out.
 //! * **CBC decrypt** is also embarrassingly parallel — every block is
 //!   `D(C_i) ^ C_{i-1}` over *ciphertexts that already exist* — so each chunk
 //!   saves its ciphertext, decrypts wide, then applies the lagged XOR.
@@ -223,30 +222,17 @@ impl<C: BlockCipher> std::fmt::Debug for CbcEssiv<C> {
 /// XTS mode (IEEE 1619-2007), the `aes-xts-plain64` dm-crypt mode.
 ///
 /// Uses two independent keys: one for data, one for the tweak. Both
-/// directions precompute each chunk's tweak sequence (PCLMULQDQ carry-less
-/// ladder when the host reports it, serial shift/xor otherwise) and drive
-/// the data cipher through the wide-lane entry points.
+/// directions precompute each chunk's tweak sequence and drive the data
+/// cipher through the wide-lane entry points.
 pub struct Xts<C: BlockCipher> {
     data_cipher: C,
     tweak_cipher: C,
-    /// Whether the tweak ladder may use the PCLMULQDQ path (host support,
-    /// detected once at construction; clearable for tests/benches).
-    clmul_tweaks: bool,
 }
 
 impl<C: BlockCipher> Xts<C> {
     /// Creates an XTS cipher from the data-key cipher and tweak-key cipher.
     pub fn new(data_cipher: C, tweak_cipher: C) -> Self {
-        Xts { data_cipher, tweak_cipher, clmul_tweaks: clmul_available() }
-    }
-
-    /// Pins the tweak ladder to the portable shift/xor path even on
-    /// PCLMULQDQ hosts. Tweak values are bit-identical either way; tests
-    /// and benches use this to keep the portable ladder covered (and
-    /// measured) on hardware hosts.
-    #[doc(hidden)]
-    pub fn force_portable_tweaks(&mut self) {
-        self.clmul_tweaks = false;
+        Xts { data_cipher, tweak_cipher }
     }
 
     fn initial_tweak(&self, sector_index: u64) -> [u8; 16] {
@@ -266,22 +252,9 @@ impl<C: BlockCipher> Xts<C> {
     }
 
     /// Fills `out` with the consecutive tweak sequence starting at `t0`
-    /// (`out[i] = t0 · x^i`, little-endian u128 view).
-    ///
-    /// The portable ladder is the serial double: each tweak depends on the
-    /// one before it. The PCLMULQDQ ladder breaks that chain four ways —
-    /// `out[1..4]` come straight off `t0` as `t0 · x^k`, and from there
-    /// `out[i] = out[i-4] · x^4`, four independent multiply chains whose
-    /// carry-less folds overlap — so tweak generation stays off the
-    /// critical path of the wide AES lanes it feeds.
-    fn fill_tweaks(&self, t0: u128, out: &mut [u128]) {
-        #[cfg(target_arch = "x86_64")]
-        if self.clmul_tweaks {
-            // SAFETY: `clmul_tweaks` is only set when the CPU reports
-            // PCLMULQDQ and SSE2 support at runtime.
-            unsafe { fill_tweaks_clmul(t0, out) };
-            return;
-        }
+    /// (`out[i] = t0 · x^i`, little-endian u128 view). One shift/xor per
+    /// block is tiny next to the 14 AES rounds it feeds.
+    fn fill_tweaks(t0: u128, out: &mut [u128]) {
         let mut t = t0;
         for slot in out.iter_mut() {
             *slot = t;
@@ -295,7 +268,7 @@ impl<C: BlockCipher> Xts<C> {
         let mut tweaks = [0u128; LANE_CHUNK];
         for chunk in data.chunks_mut(LANE_CHUNK * AES_BLOCK_SIZE) {
             let tweaks = &mut tweaks[..chunk.len() / AES_BLOCK_SIZE];
-            self.fill_tweaks(t0, tweaks);
+            Self::fill_tweaks(t0, tweaks);
             xor_tweaks(chunk, tweaks);
             if encrypt {
                 self.data_cipher.encrypt_blocks(chunk);
@@ -309,101 +282,13 @@ impl<C: BlockCipher> Xts<C> {
 }
 
 /// XORs `tweaks[i]` into the i-th 16-byte block of `chunk` (the pre- and
-/// post-whitening steps of XTS; x86 is little-endian so the native u128
-/// view matches the ladder's little-endian tweak values).
+/// post-whitening steps of XTS, in the same little-endian u128 view as
+/// the tweak values).
 fn xor_tweaks(chunk: &mut [u8], tweaks: &[u128]) {
     for (block, &t) in chunk.chunks_exact_mut(AES_BLOCK_SIZE).zip(tweaks) {
         let block: &mut [u8; AES_BLOCK_SIZE] = block.try_into().expect("exact chunk");
         *block = (u128::from_le_bytes(*block) ^ t).to_le_bytes();
     }
-}
-
-/// Whether the host offers carry-less multiply for the XTS tweak ladder
-/// (checked once per [`Xts`] construction).
-#[cfg(target_arch = "x86_64")]
-fn clmul_available() -> bool {
-    std::arch::is_x86_feature_detected!("pclmulqdq") && std::arch::is_x86_feature_detected!("sse2")
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn clmul_available() -> bool {
-    false
-}
-
-/// The PCLMULQDQ tweak ladder: `out[i] = t0 · x^i` in GF(2^128) with the
-/// XTS reduction polynomial `x^128 + x^7 + x^2 + x + 1`.
-///
-/// Four multiply-by-`x^4` chains run interleaved (chain `j` produces
-/// `out[j]`, `out[j+4]`, `out[j+8]`, …), so consecutive tweaks never wait
-/// on each other — the serial shift/xor double's loop-carried dependency
-/// is the thing this ladder deletes.
-///
-/// # Safety
-///
-/// The CPU must support the `pclmulqdq` and `sse2` feature sets.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "pclmulqdq,sse2")]
-unsafe fn fill_tweaks_clmul(t0: u128, out: &mut [u128]) {
-    use std::arch::x86_64::*;
-    if out.is_empty() {
-        return;
-    }
-    // SAFETY: caller guarantees PCLMULQDQ + SSE2 (this fn's contract).
-    // `u128` and `__m128i` have identical 16-byte layouts on this
-    // little-endian target, all stores go through unaligned intrinsics,
-    // and every `p.add(i)` stays inside `out` (`i < n` throughout).
-    unsafe {
-        let n = out.len();
-        let p = out.as_mut_ptr() as *mut __m128i;
-        // Prologue: out[0..4] come straight off t0 as t0 · x^k — all
-        // independent, no chain yet.
-        let mut chain = [_mm_loadu_si128(&t0 as *const u128 as *const __m128i); 4];
-        _mm_storeu_si128(p, chain[0]);
-        for k in 1..4.min(n) {
-            chain[k] = gf_mul_xk(chain[0], k as i64);
-            _mm_storeu_si128(p.add(k), chain[k]);
-        }
-        // Steady state: four independent ·x^4 chains, interleaved.
-        let mut i = 4;
-        while i < n {
-            for (j, lane) in chain.iter_mut().enumerate().take((n - i).min(4)) {
-                *lane = gf_mul_xk(*lane, 4);
-                _mm_storeu_si128(p.add(i + j), *lane);
-            }
-            i += 4;
-        }
-    }
-}
-
-/// One GF(2^128) multiply of `t` by `x^k` (1 ≤ k ≤ 63) with a carry-less
-/// fold: the 128-bit polynomial shifts left `k` bits, and the `k` bits
-/// that overflow degree 127 reduce in a single `PCLMULQDQ` against the
-/// low terms `0x87` of the XTS polynomial (their product has degree
-/// < k + 7 < 128, so one fold suffices — no shift/xor carry chain).
-///
-/// # Safety
-///
-/// The CPU must support the `pclmulqdq` and `sse2` feature sets.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-#[target_feature(enable = "pclmulqdq,sse2")]
-unsafe fn gf_mul_xk(t: std::arch::x86_64::__m128i, k: i64) -> std::arch::x86_64::__m128i {
-    use std::arch::x86_64::*;
-    // Register arithmetic only — with the target features statically
-    // enabled every intrinsic here is a safe operation, so no inner
-    // `unsafe` block is needed; the `unsafe fn` carries the feature
-    // contract for callers.
-    let shl = _mm_set_epi64x(0, k);
-    let shr = _mm_set_epi64x(0, 64 - k);
-    // 128-bit shift left by k out of 64-bit limb shifts: each limb
-    // shifts, the low limb's spilled top bits re-enter the high limb,
-    // and the high limb's spilled bits are the degree-≥128 overflow.
-    let limbs = _mm_sll_epi64(t, shl);
-    let spill = _mm_srl_epi64(t, shr);
-    let shifted = _mm_or_si128(limbs, _mm_slli_si128::<8>(spill));
-    let overflow = _mm_srli_si128::<8>(spill);
-    let fold = _mm_clmulepi64_si128::<0x00>(overflow, _mm_set_epi64x(0, 0x87));
-    _mm_xor_si128(shifted, fold)
 }
 
 impl<C: BlockCipher> SectorCipher for Xts<C> {
@@ -531,35 +416,6 @@ mod tests {
     }
 
     #[test]
-    fn clmul_tweak_ladder_matches_serial_double() {
-        // The PCLMULQDQ ladder and the portable shift/xor double must
-        // produce identical tweak sequences for every run length that
-        // exercises the prologue (< 4), the interleaved chains and a full
-        // 4 KiB sector's worth of doublings.
-        let mut fast = Xts::new(Aes128::new(&[0x31u8; 16]), Aes128::new(&[0x32u8; 16]));
-        let mut t0: u128 = 0x0123_4567_89ab_cdef_fedc_ba98_7654_3210;
-        for n in [1usize, 2, 3, 4, 5, 7, 8, 13, 64, 256] {
-            let mut expect = vec![0u128; n];
-            let mut t = t0;
-            for slot in expect.iter_mut() {
-                *slot = t;
-                t = Xts::<Aes128>::gf_double(t);
-            }
-            let mut got = vec![0u128; n];
-            fast.fill_tweaks(t0, &mut got);
-            assert_eq!(got, expect, "ladder diverges at n = {n}");
-            t0 = t0.rotate_left(17) ^ n as u128;
-        }
-        // And the forced-portable instance takes the serial path (a no-op
-        // check on non-PCLMULQDQ hosts, where both already did).
-        fast.force_portable_tweaks();
-        let mut got = vec![0u128; 9];
-        fast.fill_tweaks(7, &mut got);
-        assert_eq!(got[0], 7);
-        assert_eq!(got[1], 14);
-    }
-
-    #[test]
     fn sector_batch_entry_points_match_per_sector_calls() {
         let xts = Xts::new(Aes256::new(&[3u8; 32]), Aes256::new(&[9u8; 32]));
         let essiv = CbcEssiv::new(Aes256::new(&[5u8; 32]));
@@ -586,24 +442,19 @@ mod tests {
     }
 
     #[test]
-    fn wide_and_forced_portable_sector_paths_agree() {
-        // Every (cipher backend, tweak ladder) combination must produce
-        // the same bytes: hardware lanes + clmul tweaks, hardware lanes +
-        // portable tweaks, software lanes + portable tweaks.
+    fn wide_and_forced_software_sector_paths_agree() {
+        // The hardware and forced-software cipher backends must produce
+        // the same bytes through both sector modes.
         let pt: Vec<u8> = (0..4096).map(|i| (i % 251) as u8).collect();
         let fast = Xts::new(Aes256::new(&[3u8; 32]), Aes256::new(&[9u8; 32]));
-        let mut portable_tweaks = Xts::new(Aes256::new(&[3u8; 32]), Aes256::new(&[9u8; 32]));
-        portable_tweaks.force_portable_tweaks();
-        let mut soft = {
+        let soft = {
             let mut k1 = Aes256::new(&[3u8; 32]);
             let mut k2 = Aes256::new(&[9u8; 32]);
             k1.force_software();
             k2.force_software();
             Xts::new(k1, k2)
         };
-        soft.force_portable_tweaks();
         let ct = fast.encrypt_sector(77, &pt);
-        assert_eq!(portable_tweaks.encrypt_sector(77, &pt), ct);
         assert_eq!(soft.encrypt_sector(77, &pt), ct);
         assert_eq!(fast.decrypt_sector(77, &ct), pt);
         assert_eq!(soft.decrypt_sector(77, &ct), pt);

@@ -20,28 +20,14 @@ pub enum CipherMode {
     XtsPlain64,
 }
 
-/// Batches at or above this many sectors are sharded across worker
-/// threads by default (see [`DmCrypt::with_parallelism`]).
-pub const DEFAULT_PARALLEL_MIN_SECTORS: usize = 8;
+/// Each shard of a sharded encrypt batch carries at least this much
+/// payload. Spawning a scoped thread costs tens of microseconds; 256 KiB is
+/// ~0.5 ms of serial CBC-ESSIV encrypt, enough to amortize it.
+const SHARD_BYTES: usize = 256 * 1024;
 
-/// The floor [`DmCrypt::with_parallelism`] clamps `min_sectors` to: a
-/// one-sector batch has nothing to shard. Configuration layers validate
-/// against this instead of hard-coding the clamp.
-pub const MIN_PARALLEL_SECTORS: usize = 2;
-
-/// Under the default policy each worker must carry at least this much
-/// payload before threads are spawned: spawning a scoped thread costs tens
-/// of microseconds, so a shard has to hold enough AES work to amortize it.
-/// Retuned for the pipelined wide-lane core: at ~3 GiB/s XTS per core,
-/// 64 KiB is only ~20 µs of AES — thread-spawn noise — so the floor is
-/// 256 KiB (~100 µs), the same amortization ratio the pre-pipelined
-/// threshold bought at ~627 MiB/s. Batches too shallow to feed every
-/// worker simply use fewer threads, or none.
-pub const DEFAULT_MIN_SHARD_BYTES: usize = 256 * 1024;
-
-/// Upper bound on the default worker count; batches are rarely deep enough
-/// to feed more cores, and tests run many stacks concurrently.
-const DEFAULT_MAX_WORKERS: usize = 8;
+/// Cap on the encrypt worker count: batches are rarely deep enough to feed
+/// more cores, and tests run many stacks concurrently.
+const MAX_WORKERS: usize = 8;
 
 /// A transparent encryption layer over a block device.
 ///
@@ -51,28 +37,25 @@ const DEFAULT_MAX_WORKERS: usize = 8;
 ///
 /// Batched reads/writes encrypt sectors *in place* (one ciphertext arena
 /// per write batch, zero extra allocation per read batch) through the
-/// cipher's sector-batch entry points — one virtual dispatch per batch
-/// shard, wide AES lanes inside — and, for batches of at least
-/// [`DEFAULT_PARALLEL_MIN_SECTORS`] sectors carrying
-/// [`DEFAULT_MIN_SHARD_BYTES`] of payload per worker, shard the AES work
-/// across scoped worker threads — the real-time analogue of dm-crypt's
-/// per-CPU crypto queues. Sector ciphers are deterministic per
-/// `(key, sector, data)`, and the simulated-clock charge is computed from
-/// byte counts before the work is sharded, so ciphertext on the backing
-/// device *and* virtual-clock charges are bit-for-bit identical to the
-/// sequential path (pinned by `tests/parallel_props.rs`).
+/// cipher's sector-batch entry points — one virtual dispatch per batch,
+/// wide AES lanes inside. One rule, fixed at construction, decides where
+/// the AES work runs: a CBC-ESSIV *encrypt* batch is split across
+/// `min(host parallelism capped at 8, batch bytes / 256 KiB)` scoped
+/// worker threads — the real-time analogue of dm-crypt's per-CPU crypto
+/// queues — because CBC encrypt chains block on block and cannot
+/// pipeline. Every decrypt batch and every XTS batch already rides the
+/// pipelined lanes and runs on the calling thread. Sector ciphers are
+/// deterministic per `(key, sector, data)`, and the simulated-clock charge
+/// is computed from byte counts before the work is split, so ciphertext
+/// and virtual-clock charges do not depend on the split.
 pub struct DmCrypt {
     backing: SharedDevice,
     cipher: Box<dyn SectorCipher>,
     mode: CipherMode,
     timing: Option<(SimClock, CpuCostModel)>,
-    /// Maximum worker threads for batched crypto (1 = always sequential).
-    workers: usize,
-    /// Minimum batch depth, in sectors, before threads are spawned.
-    parallel_min_sectors: usize,
-    /// Minimum payload bytes per worker before threads are spawned
-    /// (0 = shard on depth alone; set by [`DmCrypt::with_parallelism`]).
-    min_shard_bytes: usize,
+    /// Worker threads an encrypt batch may be split across (1 for XTS,
+    /// whose encrypt pipelines like decrypt).
+    encrypt_workers: usize,
 }
 
 impl std::fmt::Debug for DmCrypt {
@@ -107,46 +90,19 @@ impl DmCrypt {
     }
 
     fn with_cipher(backing: SharedDevice, cipher: Box<dyn SectorCipher>, mode: CipherMode) -> Self {
-        DmCrypt {
-            backing,
-            cipher,
-            mode,
-            timing: None,
-            workers: default_workers(),
-            parallel_min_sectors: DEFAULT_PARALLEL_MIN_SECTORS,
-            min_shard_bytes: DEFAULT_MIN_SHARD_BYTES,
-        }
+        let encrypt_workers = match mode {
+            CipherMode::CbcEssiv => {
+                std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(MAX_WORKERS)
+            }
+            CipherMode::XtsPlain64 => 1,
+        };
+        DmCrypt { backing, cipher, mode, timing: None, encrypt_workers }
     }
 
     /// Attaches CPU timing: AES work will advance `clock` per `model`.
     pub fn with_timing(mut self, clock: SimClock, model: CpuCostModel) -> Self {
         self.timing = Some((clock, model));
         self
-    }
-
-    /// Configures batched-crypto parallelism explicitly: shard batches of
-    /// at least `min_sectors` sectors across up to `workers` threads.
-    /// `workers <= 1` keeps every batch on the calling thread.
-    ///
-    /// Unlike the default policy, an explicit configuration shards on
-    /// batch depth alone — no [`DEFAULT_MIN_SHARD_BYTES`] amortization
-    /// guard — so tests and tuning runs can force the threaded path for
-    /// any batch the depth threshold admits.
-    ///
-    /// Parallelism only changes wall-clock speed: ciphertext and
-    /// simulated-clock charges are identical in either configuration.
-    pub fn with_parallelism(mut self, workers: usize, min_sectors: usize) -> Self {
-        self.workers = workers.max(1);
-        self.parallel_min_sectors = min_sectors.max(MIN_PARALLEL_SECTORS);
-        self.min_shard_bytes = 0;
-        self
-    }
-
-    /// Disables batched-crypto parallelism (equivalent to
-    /// `with_parallelism(1, _)`).
-    pub fn sequential(self) -> Self {
-        let min = self.parallel_min_sectors;
-        self.with_parallelism(1, min)
     }
 
     /// The cipher mode in use.
@@ -160,27 +116,21 @@ impl DmCrypt {
         }
     }
 
-    /// How many worker threads a batch of `jobs` sectors carrying `bytes`
-    /// of payload should be sharded across: the configured worker count,
-    /// reduced so every shard holds enough bytes to amortize its thread
-    /// spawn, and 1 (inline) for batches below the depth threshold.
-    fn shard_count(&self, jobs: usize, bytes: usize) -> usize {
-        if jobs < self.parallel_min_sectors {
+    /// How many threads a batch carrying `bytes` of payload is split
+    /// across: one per [`SHARD_BYTES`] of an encrypt batch, up to the
+    /// encrypt worker count; 1 (the calling thread) for every decrypt.
+    fn shard_count(&self, bytes: usize, encrypt: bool) -> usize {
+        if !encrypt {
             return 1;
         }
-        match self.min_shard_bytes {
-            0 => self.workers,
-            min => self.workers.min(bytes / min).max(1),
-        }
+        self.encrypt_workers.min(bytes / SHARD_BYTES).max(1)
     }
 
-    /// Runs `cipher op` over every `(sector, buffer)` job, sharding the
-    /// batch across scoped worker threads when it is deep enough. Jobs are
-    /// disjoint buffers and sector ciphers are pure per job, so sharding
-    /// cannot change the bytes produced. Each shard crosses the cipher's
-    /// virtual dispatch once via the sector-batch entry points; inside,
-    /// the mode feeds the wide AES lanes sector by sector.
-    fn crypt_sectors(&self, mut jobs: Vec<(BlockIndex, &mut [u8])>, encrypt: bool) {
+    /// Runs `cipher op` over every `(sector, buffer)` job, split into
+    /// `shards` contiguous runs on scoped threads (1 = the calling thread).
+    /// Jobs are disjoint buffers and sector ciphers are pure per job, so
+    /// the split cannot change the bytes produced.
+    fn crypt_sectors(&self, jobs: &mut [(BlockIndex, &mut [u8])], encrypt: bool, shards: usize) {
         let cipher: &dyn SectorCipher = &*self.cipher;
         let run = |chunk: &mut [(BlockIndex, &mut [u8])]| {
             if encrypt {
@@ -189,9 +139,8 @@ impl DmCrypt {
                 cipher.decrypt_sectors_in_place(chunk);
             }
         };
-        let shards = self.shard_count(jobs.len(), jobs.iter().map(|(_, b)| b.len()).sum());
         if shards <= 1 {
-            run(&mut jobs);
+            run(jobs);
             return;
         }
         let per_shard = jobs.len().div_ceil(shards);
@@ -202,12 +151,6 @@ impl DmCrypt {
             }
         });
     }
-}
-
-/// Default worker count: the machine's parallelism, capped so deep test
-/// matrices don't oversubscribe the host.
-fn default_workers() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(DEFAULT_MAX_WORKERS)
 }
 
 impl BlockDevice for DmCrypt {
@@ -235,24 +178,26 @@ impl BlockDevice for DmCrypt {
     }
 
     /// Batched read: one vectored read on the backing device, then in-place
-    /// (possibly thread-sharded) decryption of every sector — no extra
+    /// decryption of every sector on the calling thread — no extra
     /// allocation. AES time for the whole batch is charged in one clock
-    /// advance, before the work is sharded.
+    /// advance.
     fn read_blocks(&self, indices: &[BlockIndex]) -> Result<Vec<Vec<u8>>, BlockDeviceError> {
         let mut bufs = self.backing.read_blocks(indices)?;
-        self.charge_aes(bufs.iter().map(Vec::len).sum());
-        let jobs: Vec<(BlockIndex, &mut [u8])> = indices
+        let bytes = bufs.iter().map(Vec::len).sum();
+        self.charge_aes(bytes);
+        let mut jobs: Vec<(BlockIndex, &mut [u8])> = indices
             .iter()
             .zip(bufs.iter_mut())
             .map(|(&index, buf)| (index, buf.as_mut_slice()))
             .collect();
-        self.crypt_sectors(jobs, false);
+        self.crypt_sectors(&mut jobs, false, self.shard_count(bytes, false));
         Ok(bufs)
     }
 
     /// Batched write: copies the batch into one contiguous ciphertext
     /// arena (a single allocation, not one per sector), encrypts every
-    /// sector in place — sharded across threads for deep batches — then
+    /// sector in place — split across threads for deep CBC-ESSIV
+    /// batches — then
     /// issues one vectored write on the backing device. A wrong-sized
     /// buffer mid-batch writes the valid prefix first, preserving
     /// sequential fail-fast semantics. AES time for the whole valid batch
@@ -264,17 +209,18 @@ impl BlockDevice for DmCrypt {
         let bs = self.block_size();
         let bad = writes.iter().position(|&(_, d)| d.len() != bs);
         let valid = &writes[..bad.unwrap_or(writes.len())];
-        self.charge_aes(valid.iter().map(|(_, d)| d.len()).sum());
-        let mut arena = Vec::with_capacity(valid.len() * bs);
+        let bytes = valid.len() * bs;
+        self.charge_aes(bytes);
+        let mut arena = Vec::with_capacity(bytes);
         for &(_, data) in valid {
             arena.extend_from_slice(data);
         }
-        let jobs: Vec<(BlockIndex, &mut [u8])> = valid
+        let mut jobs: Vec<(BlockIndex, &mut [u8])> = valid
             .iter()
             .zip(arena.chunks_mut(bs))
             .map(|(&(index, _), slot)| (index, slot))
             .collect();
-        self.crypt_sectors(jobs, true);
+        self.crypt_sectors(&mut jobs, true, self.shard_count(bytes, true));
         let refs: Vec<(BlockIndex, &[u8])> =
             valid.iter().zip(arena.chunks(bs)).map(|(&(index, _), ct)| (index, ct)).collect();
         self.backing.write_blocks(&refs)?;
@@ -423,23 +369,49 @@ mod tests {
 
     #[test]
     fn shard_policy_amortizes_thread_spawns() {
-        let (_, enc) = setup(CipherMode::CbcEssiv);
-        let enc = enc.with_parallelism(8, 8);
-        // Explicit config shards on depth alone.
-        assert_eq!(enc.shard_count(7, 7 * 512), 1, "below depth threshold");
-        assert_eq!(enc.shard_count(64, 64 * 512), 8, "explicit config ignores bytes");
-        // The default policy refuses to spawn threads that would each get
-        // less than DEFAULT_MIN_SHARD_BYTES of work — retuned to 256 KiB
-        // for the wide-lane core, so the 64x4 KiB batch the stack write
-        // path emits now stays inline (it is ~80 µs of AES, not worth a
-        // spawn) while genuinely deep batches still fan out.
-        let (_, dflt) = setup(CipherMode::CbcEssiv);
-        let dflt = DmCrypt { workers: 8, ..dflt };
-        assert_eq!(dflt.shard_count(64, 64 * 512), 1, "32 KiB batch stays inline");
-        assert_eq!(dflt.shard_count(64, 64 * 4096), 1, "256 KiB batch feeds one worker");
-        assert_eq!(dflt.shard_count(256, 256 * 4096), 4, "1 MiB batch feeds 4 workers");
-        assert_eq!(dflt.shard_count(1024, 1024 * 4096), 8, "deep batch uses all workers");
-        assert_eq!(dflt.shard_count(4, 4 << 20), 1, "depth threshold still applies");
+        // Pin the rule on an 8-way host regardless of the machine running
+        // the test: one worker per 256 KiB of encrypt payload, capped at
+        // the worker count; decrypt never leaves the calling thread.
+        let (_, essiv) = setup(CipherMode::CbcEssiv);
+        let essiv = DmCrypt { encrypt_workers: 8, ..essiv };
+        assert_eq!(essiv.shard_count(64 * 512, true), 1, "32 KiB batch stays inline");
+        assert_eq!(essiv.shard_count(64 * 4096, true), 1, "256 KiB batch feeds one worker");
+        assert_eq!(essiv.shard_count(80 * 4096, true), 1, "320 KiB batch feeds one worker");
+        assert_eq!(essiv.shard_count(256 * 4096, true), 4, "1 MiB batch feeds 4 workers");
+        assert_eq!(essiv.shard_count(1024 * 4096, true), 8, "deep batch uses all workers");
+        assert_eq!(essiv.shard_count(4 << 20, false), 1, "decrypt stays inline");
+        assert!((1..=MAX_WORKERS).contains(&setup(CipherMode::CbcEssiv).1.encrypt_workers));
+        // XTS encrypt pipelines like decrypt: inline in both directions.
+        let (_, xts) = setup(CipherMode::XtsPlain64);
+        assert_eq!(xts.encrypt_workers, 1);
+        assert_eq!(xts.shard_count(4 << 20, true), 1, "XTS encrypt stays inline");
+        assert_eq!(xts.shard_count(4 << 20, false), 1, "XTS decrypt stays inline");
+    }
+
+    #[test]
+    fn sharded_crypt_matches_inline_path() {
+        // Four threads regardless of host parallelism, so a 1-vCPU host
+        // still exercises the split: ciphertext must match the inline
+        // batch and the per-sector calls, and decrypt must invert it.
+        for mode in [CipherMode::CbcEssiv, CipherMode::XtsPlain64] {
+            let (_, enc) = setup(mode);
+            let plain: Vec<(u64, Vec<u8>)> = (0..10u64)
+                .map(|i| (i * 5 % 32, (0..4096).map(|j| ((i * 7 + j) % 251) as u8).collect()))
+                .collect();
+            let run = |shards: usize, encrypt: bool, input: &[(u64, Vec<u8>)]| {
+                let mut bufs = input.to_vec();
+                let mut jobs: Vec<(u64, &mut [u8])> =
+                    bufs.iter_mut().map(|(b, d)| (*b, d.as_mut_slice())).collect();
+                enc.crypt_sectors(&mut jobs, encrypt, shards);
+                bufs
+            };
+            let sharded = run(4, true, &plain);
+            assert_eq!(sharded, run(1, true, &plain), "{mode:?}: split must not change bytes");
+            for ((b, ct), (_, pt)) in sharded.iter().zip(&plain) {
+                assert_eq!(ct, &enc.cipher.encrypt_sector(*b, pt), "{mode:?}: per-sector");
+            }
+            assert_eq!(run(1, false, &sharded), plain, "{mode:?}: decrypt inverts the split");
+        }
     }
 
     #[test]

@@ -34,6 +34,10 @@ pub const RECORD_MAGIC: &[u8; 4] = b"MCJR";
 /// Fixed record header size: magic + seq + payload_len + digest.
 const HEADER_LEN: usize = 4 + 8 + 8 + 32;
 
+/// Shortest encoded [`DeltaOp`]: tag + volume id ([`DeltaOp::DeleteVolume`]).
+/// Bounds how many ops a payload can hold.
+const MIN_OP_LEN: usize = 1 + 4;
+
 /// One state transition inside a journaled transaction.
 ///
 /// Replay order within a record is meaningful: volume lifecycle ops come
@@ -227,8 +231,8 @@ impl JournalRecord {
     ///
     /// # Errors
     ///
-    /// [`BlockDeviceError::CorruptMetadata`] on bad magic, truncation or
-    /// digest mismatch.
+    /// [`BlockDeviceError::CorruptMetadata`] on bad magic, truncation, an
+    /// op count the payload cannot hold, or digest mismatch.
     pub fn decode(data: &[u8]) -> Result<(Self, usize), BlockDeviceError> {
         let corrupt = |detail: &str| BlockDeviceError::CorruptMetadata { detail: detail.into() };
         if data.len() < HEADER_LEN {
@@ -238,14 +242,16 @@ impl JournalRecord {
             return Err(corrupt("bad journal record magic"));
         }
         let seq = le_u64(&data[4..12])?;
-        let payload_len = le_u64(&data[12..20])? as usize;
+        let payload_len = le_u64(&data[12..20])?;
         let digest: [u8; 32] = data[20..52].try_into().map_err(|_| {
             BlockDeviceError::CorruptMetadata { detail: "short digest field".into() }
         })?;
-        if data.len() < HEADER_LEN + payload_len {
-            return Err(corrupt("truncated journal record payload"));
-        }
-        let payload = &data[HEADER_LEN..HEADER_LEN + payload_len];
+        let end = usize::try_from(payload_len)
+            .ok()
+            .and_then(|len| HEADER_LEN.checked_add(len))
+            .filter(|&end| end <= data.len())
+            .ok_or_else(|| corrupt("truncated journal record payload"))?;
+        let payload = &data[HEADER_LEN..end];
         if Self::digest(seq, payload) != digest {
             return Err(corrupt("journal record digest mismatch"));
         }
@@ -259,6 +265,10 @@ impl JournalRecord {
             Ok(v)
         };
         let op_count = take8(&mut pos)?;
+        let max_ops = (payload.len() - pos) / MIN_OP_LEN;
+        if op_count > max_ops as u64 {
+            return Err(corrupt("journal op count exceeds payload"));
+        }
         let mut ops = Vec::with_capacity(op_count as usize);
         for _ in 0..op_count {
             ops.push(DeltaOp::decode(payload, &mut pos)?);
@@ -266,7 +276,7 @@ impl JournalRecord {
         if pos != payload.len() {
             return Err(corrupt("trailing bytes in journal record payload"));
         }
-        Ok((JournalRecord { seq, ops }, HEADER_LEN + payload_len))
+        Ok((JournalRecord { seq, ops }, end))
     }
 }
 
@@ -360,13 +370,17 @@ impl TransactionManager {
         if used > self.cfg.blocks {
             return Err(corrupt("journal extent larger than region"));
         }
-        let expected = if last_seq >= first_seq { last_seq - first_seq + 1 } else { 0 };
+        // Every record takes at least one block, so more records than
+        // `used` blocks cannot all be present.
+        let expected = match last_seq.checked_sub(first_seq) {
+            None => 0,
+            Some(span) => span
+                .checked_add(1)
+                .filter(|&n| n <= used)
+                .ok_or_else(|| corrupt("journal records missing"))?,
+        };
         if used == 0 {
-            return if expected == 0 {
-                Ok(Vec::new())
-            } else {
-                Err(corrupt("journal records missing"))
-            };
+            return Ok(Vec::new());
         }
         let bs = self.meta.block_size();
         let indices: Vec<u64> = (0..used).map(|i| self.cfg.first_block + i).collect();
@@ -435,6 +449,51 @@ mod tests {
         }
         assert!(JournalRecord::decode(&bytes[..HEADER_LEN - 1]).is_err());
         assert!(JournalRecord::decode(&bytes[..bytes.len() - 1]).is_err());
+    }
+
+    fn is_corrupt<T: std::fmt::Debug>(r: Result<T, BlockDeviceError>) -> bool {
+        matches!(r, Err(BlockDeviceError::CorruptMetadata { .. }))
+    }
+
+    #[test]
+    fn decode_rejects_overflowing_payload_len() {
+        // A header whose payload_len overflows HEADER_LEN + len must be
+        // reported as corrupt before any slicing or digest work.
+        for payload_len in [u64::MAX, u64::MAX - HEADER_LEN as u64 + 1] {
+            let mut bytes = RECORD_MAGIC.to_vec();
+            bytes.extend_from_slice(&1u64.to_le_bytes());
+            bytes.extend_from_slice(&payload_len.to_le_bytes());
+            bytes.extend_from_slice(&[0u8; 32 + 64]);
+            assert!(is_corrupt(JournalRecord::decode(&bytes)), "payload_len {payload_len:#x}");
+        }
+    }
+
+    #[test]
+    fn decode_bounds_op_count_by_payload() {
+        // The digest is unkeyed, so a hostile record can carry a valid one
+        // next to an op count of 2^40: decode must refuse it rather than
+        // size an allocation from it.
+        let seq = 9u64;
+        let mut payload = (1u64 << 40).to_le_bytes().to_vec();
+        DeltaOp::Alloc { block: 4 }.encode_into(&mut payload);
+        let mut bytes = RECORD_MAGIC.to_vec();
+        bytes.extend_from_slice(&seq.to_le_bytes());
+        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(&JournalRecord::digest(seq, &payload));
+        bytes.extend_from_slice(&payload);
+        assert!(is_corrupt(JournalRecord::decode(&bytes)));
+    }
+
+    #[test]
+    fn replay_rejects_sequence_ranges_the_extent_cannot_hold() {
+        // first_seq = 0, last_seq = u64::MAX overflows the record count;
+        // a count larger than the committed blocks cannot be present.
+        let meta: SharedDevice = Arc::new(MemDisk::with_default_timing(64, 512));
+        let tm = TransactionManager::new(meta, JournalConfig { first_block: 1, blocks: 16 });
+        let used = tm.append(0, &JournalRecord { seq: 1, ops: sample_ops() }).unwrap();
+        assert!(is_corrupt(tm.replay(used, 0, u64::MAX)));
+        assert!(is_corrupt(tm.replay(used, 1, 1 << 40)));
+        assert!(is_corrupt(tm.replay(0, 0, u64::MAX)));
     }
 
     #[test]
